@@ -44,13 +44,6 @@ TestSequence random_sequence(const gates::Netlist& nl, int cycles, Rng& rng,
   return seq;
 }
 
-int find_reset(const gates::Netlist& nl) {
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-    if (nl.gate(nl.inputs()[i]).name == "reset") return static_cast<int>(i);
-  }
-  return -1;
-}
-
 /// Resolves AtpgOptions::backend through the HLTS_ATPG_BACKEND knob to one
 /// of the three orchestration modes.
 std::string resolve_mode(const AtpgOptions& options) {
@@ -97,7 +90,7 @@ AtpgResult run_atpg(const gates::Netlist& nl, int period,
   std::vector<Fault> remaining = universe.faults();
   result.total_faults = remaining.size();
 
-  const int reset_index = find_reset(nl);
+  const int reset_index = reset_input_index(nl);
   const int seq_cycles =
       options.sequence_cycles > 0 ? options.sequence_cycles : 2 * period;
   Rng rng(options.seed);
@@ -227,7 +220,17 @@ AtpgResult run_atpg(const gates::Netlist& nl, int period,
     if (rescue) {
       result.backend_stats.fallback_targets = rescue->stats().targets;
       result.backend_stats.fallback_detected = rescue->stats().detected;
+      result.backend_stats.podem_decisions += rescue->stats().podem_decisions;
+      result.backend_stats.podem_frontier_updates +=
+          rescue->stats().podem_frontier_updates;
     }
+    // Summed per run, never per decision: a trace lookup per decision would
+    // cost more than the decision.
+    util::count("atpg.podem.decisions",
+                static_cast<std::int64_t>(result.backend_stats.podem_decisions));
+    util::count("atpg.podem.frontier_updates",
+                static_cast<std::int64_t>(
+                    result.backend_stats.podem_frontier_updates));
   }
   result.detected_deterministic =
       ledger.count(FaultStatus::DetectedDeterministic);

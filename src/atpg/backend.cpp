@@ -50,6 +50,8 @@ class TimeFrameBackend final : public DeterministicBackend {
     if (r.status == BackendStatus::Detected) ++stats_.detected;
     if (r.status == BackendStatus::Untestable) ++stats_.untestable;
     if (r.status == BackendStatus::Aborted) ++stats_.aborted;
+    stats_.podem_decisions = podem_.counters().decisions;
+    stats_.podem_frontier_updates = podem_.counters().frontier_updates;
     return r;
   }
 

@@ -76,6 +76,11 @@ struct BackendStats {
   std::size_t aborted = 0;
   std::uint64_t effort = 0;  ///< summed BackendResult::effort
 
+  /// TimeFrame only (zero elsewhere): PODEM's deterministic work counters
+  /// (see atpg::PodemCounters).
+  std::uint64_t podem_decisions = 0;
+  std::uint64_t podem_frontier_updates = 0;
+
   std::uint64_t sat_conflicts = 0;
   std::uint64_t sat_decisions = 0;
   std::uint64_t sat_propagations = 0;

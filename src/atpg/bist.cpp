@@ -6,12 +6,12 @@ namespace hlts::atpg {
 
 BistResult run_bist(const gates::Netlist& nl, int cycles, int simd_width) {
   HLTS_REQUIRE(cycles >= 1, "BIST session needs at least one cycle");
-  int reset_index = -1;
+  const int reset_index = reset_input_index(nl);
   int bist_index = -1;
   for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-    const std::string& name = nl.gate(nl.inputs()[i]).name;
-    if (name == "reset") reset_index = static_cast<int>(i);
-    if (name == "bist_mode") bist_index = static_cast<int>(i);
+    if (nl.gate(nl.inputs()[i]).name == "bist_mode") {
+      bist_index = static_cast<int>(i);
+    }
   }
   HLTS_REQUIRE(reset_index >= 0 && bist_index >= 0,
                "netlist was not elaborated with BIST support");

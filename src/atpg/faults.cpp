@@ -13,6 +13,13 @@ std::string fault_name(const gates::Netlist& nl, const Fault& f) {
   return base + (f.stuck_at_one ? "/sa1" : "/sa0");
 }
 
+int reset_input_index(const gates::Netlist& nl) {
+  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
+    if (nl.gate(nl.inputs()[i]).name == "reset") return static_cast<int>(i);
+  }
+  return -1;
+}
+
 bool FaultUniverse::is_fault_site(const gates::Netlist& nl,
                                   gates::GateId id) {
   switch (nl.gate(id).kind) {

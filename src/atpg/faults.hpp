@@ -35,6 +35,11 @@ struct Fault {
 
 [[nodiscard]] std::string fault_name(const gates::Netlist& nl, const Fault& f);
 
+/// Position in nl.inputs() of the reset input -- the first input named
+/// "reset" -- or -1 if there is none.  Every test generator forces this
+/// input (high in cycle 0, low afterwards), so they must all agree on it.
+[[nodiscard]] int reset_input_index(const gates::Netlist& nl);
+
 class FaultUniverse {
  public:
   /// The one collapse rule: true when stuck-at faults on `id`'s output are

@@ -1,12 +1,8 @@
 #include "atpg/podem.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <deque>
 
 #include "util/error.hpp"
-#include "util/knobs.hpp"
 #include "util/rng.hpp"
 
 namespace hlts::atpg {
@@ -49,27 +45,29 @@ std::uint8_t mux3(std::uint8_t s, std::uint8_t a, std::uint8_t b) {
 
 }  // namespace
 
-/// All PODEM state lives here; rebuilt per TimeFramePodem instance and
-/// reused (reset) across target faults.
+/// All PODEM state lives here: one Impl per TimeFramePodem, reseeded at
+/// every restart and reset per target fault, so the per-node arrays are
+/// allocated once per netlist.
 class TimeFramePodem::Impl {
  public:
-  Impl(const gates::Netlist& nl, int frames, int reset_index,
-       std::uint64_t seed)
-      : nl_(nl), frames_(frames), reset_index_(reset_index), rng_(seed) {
+  Impl(const gates::Netlist& nl, int frames, int reset_index)
+      : nl_(nl), frames_(frames), reset_index_(reset_index), rng_(1) {
     const std::size_t n = total_nodes();
+    HLTS_REQUIRE(n < kNotListed, "PODEM: unrolled model too large");
     good_.assign(n, VX);
     faulty_.assign(n, VX);
+    in_cone_.assign(n, 0);
+    frontier_pos_.assign(n, kNotListed);
+    visit_.assign(n, 0);
     compute_justifiable();
   }
+
+  void reseed(std::uint64_t seed) { rng_ = Rng(seed); }
 
   PodemResult run(const Fault& fault, int backtrack_limit);
 
   bool run_sequence_check(const Fault& fault, const TestSequence& sequence) {
-    fault_ = fault;
-    compute_cone();
-    trail_.clear();
-    std::fill(good_.begin(), good_.end(), VX);
-    std::fill(faulty_.begin(), faulty_.end(), VX);
+    start_target(fault);
     for (int frame = 0; frame < frames_; ++frame) {
       if (frame >= static_cast<int>(sequence.size())) break;
       for (std::size_t i = 0; i < nl_.inputs().size(); ++i) {
@@ -84,7 +82,12 @@ class TimeFramePodem::Impl {
     return detected();
   }
 
+  PodemCounters counters;
+  FrontierAudit* audit = nullptr;
+
  private:
+  static constexpr std::uint32_t kNotListed = 0xFFFFFFFFu;
+
   std::size_t total_nodes() const { return nl_.num_gates() * frames_; }
   std::size_t node(int frame, GateId g) const {
     return static_cast<std::size_t>(frame) * nl_.num_gates() + g.index();
@@ -95,13 +98,35 @@ class TimeFramePodem::Impl {
   GateId gate_of(std::size_t n) const {
     return GateId{static_cast<std::uint32_t>(n % nl_.num_gates())};
   }
+  /// Both machines binary and different.
+  bool is_d(std::size_t n) const {
+    return good_[n] != VX && faulty_[n] != VX && good_[n] != faulty_[n];
+  }
 
   void set_value(std::size_t n, std::uint8_t g, std::uint8_t f) {
     if (good_[n] == g && faulty_[n] == f) return;
     trail_.push_back({n, good_[n], faulty_[n]});
+    const bool was_d = is_d(n);
     good_[n] = g;
     faulty_[n] = f;
+    if (tracking_) value_changed(n, was_d);
   }
+
+  void undo_to(std::size_t mark) {
+    while (trail_.size() > mark) {
+      const Change& c = trail_.back();
+      const bool was_d = is_d(c.node);
+      good_[c.node] = c.good;
+      faulty_[c.node] = c.faulty;
+      if (tracking_) value_changed(c.node, was_d);
+      trail_.pop_back();
+    }
+  }
+
+  /// Clears the previous target's cone and frontier and every value, then
+  /// computes the cone of `fault`.  Frontier tracking stays off until
+  /// rebuild_frontier(), and run() rebuilds the base state.
+  void start_target(const Fault& fault);
 
   /// Computes the value of a node from its inputs; applies the fault mask.
   std::pair<std::uint8_t, std::uint8_t> eval(std::size_t n) const;
@@ -112,33 +137,42 @@ class TimeFramePodem::Impl {
   /// Full forward implication (used once per fault for the initial state).
   void imply_all();
 
-  void undo_to(std::size_t mark) {
-    while (trail_.size() > mark) {
-      const Change& c = trail_.back();
-      good_[c.node] = c.good;
-      faulty_[c.node] = c.faulty;
-      trail_.pop_back();
-    }
-  }
-
   [[nodiscard]] bool detected() const;
-  [[nodiscard]] bool excited() const;
   /// First frame where the fault site's good value is still X; -1 if none.
   [[nodiscard]] int excitable_frame() const;
-  /// D-frontier: nodes with a D on some input and X on the output.
-  [[nodiscard]] std::vector<std::size_t> d_frontier() const;
+
+  /// D-frontier membership of cone node `n`: a D on some input (DFFs read
+  /// the previous frame) and X on the output in at least one machine.
+  [[nodiscard]] bool frontier_member(std::size_t n) const;
+  /// Reference oracle for the maintained frontier: a full scan of the
+  /// fault cone, in ascending node order.
+  [[nodiscard]] std::vector<std::uint32_t> d_frontier_reference() const;
+  /// Re-evaluates frontier_member(n) and adds n to or removes it from the
+  /// position-indexed frontier list.
+  void recheck(std::size_t n);
+  /// Keeps the frontier current after node n's value changed (`was_d`:
+  /// whether n carried a D before).  Only n's own membership and -- when
+  /// its D status flipped -- that of its fanouts can have changed.
+  void value_changed(std::size_t n, bool was_d);
+  /// Fills the frontier list, emptied by start_target(), from a cone scan
+  /// and turns tracking on.
+  void rebuild_frontier();
+  /// The maintained frontier in ascending node order (the order of the
+  /// reference scan), into frontier_snapshot_.
+  void snapshot_frontier();
+
   /// True if some D-frontier gate reaches a PO through X-valued nodes.
-  [[nodiscard]] bool x_path_exists(const std::vector<std::size_t>& frontier) const;
+  [[nodiscard]] bool x_path_exists(const std::vector<std::uint32_t>& frontier);
 
   struct Objective {
     std::size_t node = 0;
     std::uint8_t value = VX;
     bool valid = false;
   };
-  /// All candidate objectives, best-first: excitation objectives per frame
-  /// while the fault is unexcited, otherwise one propagation objective per
-  /// D-frontier gate.
-  [[nodiscard]] std::vector<Objective> objectives() const;
+  /// All candidate objectives, best-first, into objectives_: one
+  /// propagation objective per D-frontier gate side input, then excitation
+  /// objectives per frame whose fault-site value is still open.
+  void objectives(const std::vector<std::uint32_t>& frontier);
   /// Walks from an objective to an assignable PI; invalid if stuck.
   [[nodiscard]] Objective backtrace(Objective obj);
 
@@ -178,26 +212,58 @@ class TimeFramePodem::Impl {
   Rng rng_;
   Fault fault_{};
   std::vector<std::uint8_t> good_, faulty_;
-  std::vector<bool> justifiable_;
+  std::vector<std::uint8_t> justifiable_;
   std::vector<std::size_t> cone_;       // sorted node ids in the fault cone
   std::vector<std::size_t> cone_outputs_;  // PO nodes within the cone
+  std::vector<std::uint8_t> in_cone_;   // 1 for nodes of cone_
   std::vector<Change> trail_;
+
+  // True while good_/faulty_ hold run()'s base state for fault_ plus the
+  // changes on trail_.
+  bool base_ready_ = false;
+
+  // Event-driven D-frontier: the member list in event order and each
+  // node's position in it (kNotListed when absent).
+  bool tracking_ = false;
+  std::vector<std::uint32_t> frontier_;
+  std::vector<std::uint32_t> frontier_pos_;
+  std::vector<std::uint32_t> frontier_snapshot_;
+
+  // Reused scratch: x_path_exists's epoch-stamped visit marks and stack,
+  // propagate_from's FIFO, the objective list and backtrace's candidates.
+  std::vector<std::uint32_t> visit_;
+  std::uint32_t visit_epoch_ = 0;
+  std::vector<std::uint32_t> stack_;
+  std::vector<std::uint32_t> queue_;
+  std::vector<Objective> objectives_;
+  std::vector<std::size_t> eligible_;
 };
 
+void TimeFramePodem::Impl::start_target(const Fault& fault) {
+  tracking_ = false;
+  base_ready_ = false;
+  for (std::uint32_t n : frontier_) frontier_pos_[n] = kNotListed;
+  frontier_.clear();
+  for (std::size_t n : cone_) in_cone_[n] = 0;
+  fault_ = fault;
+  compute_cone();
+  trail_.clear();
+  std::fill(good_.begin(), good_.end(), VX);
+  std::fill(faulty_.begin(), faulty_.end(), VX);
+}
+
 void TimeFramePodem::Impl::compute_cone() {
-  cone_.clear();
-  cone_outputs_.clear();
-  std::vector<bool> in_cone(total_nodes(), false);
-  std::vector<std::size_t> queue;
+  // Breadth-first marking over in_cone_, with queue_ as the worklist.
+  queue_.clear();
   for (int frame = 0; frame < frames_; ++frame) {
     const std::size_t n = node(frame, fault_.gate);
-    if (!in_cone[n]) {
-      in_cone[n] = true;
-      queue.push_back(n);
+    if (!in_cone_[n]) {
+      in_cone_[n] = 1;
+      queue_.push_back(static_cast<std::uint32_t>(n));
     }
   }
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    const std::size_t n = queue[i];
+  for (std::size_t i = 0; i < queue_.size(); ++i) {
+    const std::size_t n = queue_[i];
     const int frame = frame_of(n);
     const gates::Gate& g = nl_.gate(gate_of(n));
     for (GateId fo : g.fanouts) {
@@ -205,37 +271,38 @@ void TimeFramePodem::Impl::compute_cone() {
       const int tf = frame + (crosses ? 1 : 0);
       if (tf >= frames_) continue;
       const std::size_t t = node(tf, fo);
-      if (!in_cone[t]) {
-        in_cone[t] = true;
-        queue.push_back(t);
+      if (!in_cone_[t]) {
+        in_cone_[t] = 1;
+        queue_.push_back(static_cast<std::uint32_t>(t));
       }
     }
   }
-  cone_ = std::move(queue);
-  std::sort(cone_.begin(), cone_.end());
-  for (std::size_t n : cone_) {
-    if (nl_.gate(gate_of(n)).kind == GateKind::Output) {
-      cone_outputs_.push_back(n);
-    }
+  // Ascending node order by a scan of the marks (cheaper than a sort).
+  cone_.clear();
+  cone_outputs_.clear();
+  for (std::size_t n = 0; n < total_nodes(); ++n) {
+    if (!in_cone_[n]) continue;
+    cone_.push_back(n);
+    if (nl_.gate(gate_of(n)).kind == GateKind::Output) cone_outputs_.push_back(n);
   }
 }
 
 void TimeFramePodem::Impl::compute_justifiable() {
-  justifiable_.assign(total_nodes(), false);
+  justifiable_.assign(total_nodes(), 0);
   for (int frame = 0; frame < frames_; ++frame) {
     for (GateId g : nl_.gate_ids()) {
       const gates::Gate& gate = nl_.gate(g);
       const std::size_t n = node(frame, g);
       switch (gate.kind) {
         case GateKind::Input:
-          justifiable_[n] = is_assignable_pi(n);
+          justifiable_[n] = is_assignable_pi(n) ? 1 : 0;
           break;
         case GateKind::Const0:
         case GateKind::Const1:
           break;
         case GateKind::Dff:
           justifiable_[n] =
-              frame > 0 && justifiable_[node(frame - 1, gate.inputs[0])];
+              frame > 0 ? justifiable_[node(frame - 1, gate.inputs[0])] : 0;
           break;
         default:
           break;  // combinational: below, in levelized order
@@ -246,7 +313,7 @@ void TimeFramePodem::Impl::compute_justifiable() {
       const std::size_t n = node(frame, g);
       for (GateId in : gate.inputs) {
         if (justifiable_[node(frame, in)]) {
-          justifiable_[n] = true;
+          justifiable_[n] = 1;
           break;
         }
       }
@@ -341,10 +408,11 @@ std::pair<std::uint8_t, std::uint8_t> TimeFramePodem::Impl::eval(
 }
 
 void TimeFramePodem::Impl::propagate_from(std::size_t start) {
-  std::deque<std::size_t> queue{start};
-  while (!queue.empty()) {
-    const std::size_t n = queue.front();
-    queue.pop_front();
+  // FIFO over a reused buffer: the same visiting order as a deque.
+  queue_.clear();
+  queue_.push_back(static_cast<std::uint32_t>(start));
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const std::size_t n = queue_[head];
     const int frame = frame_of(n);
     const gates::Gate& g = nl_.gate(gate_of(n));
     for (GateId fo : g.fanouts) {
@@ -355,7 +423,7 @@ void TimeFramePodem::Impl::propagate_from(std::size_t start) {
       auto [gv, fv] = eval(t);
       if (gv != good_[t] || fv != faulty_[t]) {
         set_value(t, gv, fv);
-        queue.push_back(t);
+        queue_.push_back(static_cast<std::uint32_t>(t));
       }
     }
   }
@@ -390,14 +458,6 @@ bool TimeFramePodem::Impl::detected() const {
   return false;
 }
 
-bool TimeFramePodem::Impl::excited() const {
-  for (int frame = 0; frame < frames_; ++frame) {
-    const std::size_t n = node(frame, fault_.gate);
-    if (good_[n] != VX && good_[n] != faulty_[n]) return true;
-  }
-  return false;
-}
-
 int TimeFramePodem::Impl::excitable_frame() const {
   for (int frame = 0; frame < frames_; ++frame) {
     if (good_[node(frame, fault_.gate)] == VX) return frame;
@@ -405,41 +465,89 @@ int TimeFramePodem::Impl::excitable_frame() const {
   return -1;
 }
 
-std::vector<std::size_t> TimeFramePodem::Impl::d_frontier() const {
+bool TimeFramePodem::Impl::frontier_member(std::size_t n) const {
+  const gates::Gate& gate = nl_.gate(gate_of(n));
+  if (gate.inputs.empty()) return false;
+  // Unresolved output: at least one machine still X (covers the composite
+  // 1/X and 0/X cases, where fixing a side input can still turn the output
+  // into a definite D).
+  if (good_[n] != VX && faulty_[n] != VX) return false;
+  // DFFs read the previous frame.
+  const int frame = frame_of(n);
+  const int in_frame = gate.kind == GateKind::Dff ? frame - 1 : frame;
+  if (in_frame < 0) return false;
+  for (GateId in : gate.inputs) {
+    if (is_d(node(in_frame, in))) return true;
+  }
+  return false;
+}
+
+std::vector<std::uint32_t> TimeFramePodem::Impl::d_frontier_reference() const {
   // Only nodes in the fault's forward cone can carry a D.
-  std::vector<std::size_t> frontier;
+  std::vector<std::uint32_t> frontier;
   for (std::size_t n : cone_) {
-    const gates::Gate& gate = nl_.gate(gate_of(n));
-    if (gate.inputs.empty()) continue;
-    // Unresolved output: at least one machine still X (covers the
-    // composite 1/X and 0/X cases, where fixing a side input can still
-    // turn the output into a definite D).
-    if (good_[n] != VX && faulty_[n] != VX) continue;
-    // An input carries a D when both values are binary and differ.  DFFs
-    // read the previous frame.
-    const int frame = frame_of(n);
-    const int in_frame = gate.kind == GateKind::Dff ? frame - 1 : frame;
-    if (in_frame < 0) continue;
-    for (GateId in : gate.inputs) {
-      const std::size_t m = node(in_frame, in);
-      if (good_[m] != VX && faulty_[m] != VX && good_[m] != faulty_[m]) {
-        frontier.push_back(n);
-        break;
-      }
-    }
+    if (frontier_member(n)) frontier.push_back(static_cast<std::uint32_t>(n));
   }
   return frontier;
 }
 
+void TimeFramePodem::Impl::recheck(std::size_t n) {
+  ++counters.frontier_updates;
+  const bool member = frontier_member(n);
+  std::uint32_t& pos = frontier_pos_[n];
+  if (member == (pos != kNotListed)) return;
+  if (member) {
+    pos = static_cast<std::uint32_t>(frontier_.size());
+    frontier_.push_back(static_cast<std::uint32_t>(n));
+  } else {
+    const std::uint32_t last = frontier_.back();
+    frontier_[pos] = last;
+    frontier_pos_[last] = pos;
+    frontier_.pop_back();
+    pos = kNotListed;
+  }
+}
+
+void TimeFramePodem::Impl::value_changed(std::size_t n, bool was_d) {
+  // Outside the cone good == faulty always: no D, no frontier member.
+  if (!in_cone_[n]) return;
+  recheck(n);
+  if (is_d(n) == was_d) return;
+  const int frame = frame_of(n);
+  for (GateId fo : nl_.gate(gate_of(n)).fanouts) {
+    const int tf = frame + (nl_.gate(fo).kind == GateKind::Dff ? 1 : 0);
+    if (tf < frames_) recheck(node(tf, fo));  // the cone is fanout-closed
+  }
+}
+
+void TimeFramePodem::Impl::rebuild_frontier() {
+  for (std::size_t n : cone_) recheck(n);  // start_target emptied the list
+  tracking_ = true;
+}
+
+void TimeFramePodem::Impl::snapshot_frontier() {
+  frontier_snapshot_.assign(frontier_.begin(), frontier_.end());
+  std::sort(frontier_snapshot_.begin(), frontier_snapshot_.end());
+  if (audit != nullptr) {
+    ++audit->checks;
+    if (frontier_snapshot_ != d_frontier_reference()) ++audit->mismatches;
+  }
+}
+
 bool TimeFramePodem::Impl::x_path_exists(
-    const std::vector<std::size_t>& frontier) const {
-  // DFS through X-valued nodes (on either machine) toward any PO.
-  std::vector<bool> visited(total_nodes(), false);
-  std::vector<std::size_t> stack(frontier);
-  for (std::size_t n : stack) visited[n] = true;
-  while (!stack.empty()) {
-    const std::size_t n = stack.back();
-    stack.pop_back();
+    const std::vector<std::uint32_t>& frontier) {
+  // DFS through X-valued nodes (on either machine) toward any PO.  A node
+  // is visited in this call when its stamp equals the call's epoch.
+  if (++visit_epoch_ == 0) {
+    std::fill(visit_.begin(), visit_.end(), 0);
+    visit_epoch_ = 1;
+  }
+  const std::uint32_t epoch = visit_epoch_;
+  stack_.assign(frontier.begin(), frontier.end());
+  for (std::uint32_t n : stack_) visit_[n] = epoch;
+  while (!stack_.empty()) {
+    const std::size_t n = stack_.back();
+    stack_.pop_back();
     const gates::Gate& g = nl_.gate(gate_of(n));
     if (g.kind == GateKind::Output) return true;
     const int frame = frame_of(n);
@@ -448,23 +556,24 @@ bool TimeFramePodem::Impl::x_path_exists(
       const int tf = frame + (crosses ? 1 : 0);
       if (tf >= frames_) continue;
       const std::size_t t = node(tf, fo);
-      if (visited[t]) continue;
+      if (visit_[t] == epoch) continue;
       if (good_[t] != VX && faulty_[t] != VX && good_[t] == faulty_[t]) {
         continue;  // fully determined and fault-free: no path through here
       }
-      visited[t] = true;
-      stack.push_back(t);
+      visit_[t] = epoch;
+      stack_.push_back(static_cast<std::uint32_t>(t));
     }
   }
   return false;
 }
 
-std::vector<TimeFramePodem::Impl::Objective>
-TimeFramePodem::Impl::objectives() const {
-  std::vector<Objective> out;
+void TimeFramePodem::Impl::objectives(
+    const std::vector<std::uint32_t>& frontier) {
+  std::vector<Objective>& out = objectives_;
+  out.clear();
   // Propagation objectives: drive each D-frontier gate's X side inputs to
   // non-controlling values.
-  for (std::size_t n : d_frontier()) {
+  for (std::size_t n : frontier) {
     const gates::Gate& g = nl_.gate(gate_of(n));
     const int frame = frame_of(n);
     const int in_frame = g.kind == GateKind::Dff ? frame - 1 : frame;
@@ -491,9 +600,6 @@ TimeFramePodem::Impl::objectives() const {
         const std::size_t sel = node(in_frame, g.inputs[0]);
         const std::size_t a = node(in_frame, g.inputs[1]);
         const std::size_t b = node(in_frame, g.inputs[2]);
-        auto is_d = [&](std::size_t m) {
-          return good_[m] != VX && faulty_[m] != VX && good_[m] != faulty_[m];
-        };
         if (good_[sel] == VX) {
           add(sel, is_d(b) ? V1 : V0);
         } else {
@@ -522,7 +628,6 @@ TimeFramePodem::Impl::objectives() const {
     obj.valid = true;
     out.push_back(obj);
   }
-  return out;
 }
 
 TimeFramePodem::Impl::Objective TimeFramePodem::Impl::backtrace(
@@ -558,18 +663,18 @@ TimeFramePodem::Impl::Objective TimeFramePodem::Impl::backtrace(
     // never be justified.  The choice among eligible inputs is randomized:
     // together with restarts this diversifies the search tree, the
     // standard remedy for PODEM's myopic backtrace on sequential models.
-    std::vector<std::size_t> eligible;
+    eligible_.clear();
     for (GateId in : g.inputs) {
       const std::size_t m = node(in_frame, in);
-      if (good_[m] == VX && justifiable_[m]) eligible.push_back(m);
+      if (good_[m] == VX && justifiable_[m]) eligible_.push_back(m);
     }
-    if (eligible.empty()) {
+    if (eligible_.empty()) {
       obj.valid = false;
       return obj;
     }
-    obj.node = eligible.size() == 1
-                   ? eligible[0]
-                   : eligible[rng_.next_below(eligible.size())];
+    obj.node = eligible_.size() == 1
+                   ? eligible_[0]
+                   : eligible_[rng_.next_below(eligible_.size())];
   }
   if (guard <= 0) obj.valid = false;
   return obj;
@@ -594,24 +699,27 @@ TestSequence TimeFramePodem::Impl::extract_sequence() const {
 
 PodemResult TimeFramePodem::Impl::run(const Fault& fault, int backtrack_limit) {
   PodemResult result;
-  fault_ = fault;
-  compute_cone();
-  trail_.clear();
-  std::fill(good_.begin(), good_.end(), VX);
-  std::fill(faulty_.begin(), faulty_.end(), VX);
-
-  // Forced values: reset high in frame 0, low afterwards.
-  if (reset_index_ >= 0) {
-    const GateId rst = nl_.inputs()[static_cast<std::size_t>(reset_index_)];
-    for (int frame = 0; frame < frames_; ++frame) {
-      const std::size_t n = node(frame, rst);
-      const std::uint8_t v = frame == 0 ? V1 : V0;
-      good_[n] = v;
-      faulty_[n] = v;
+  if (base_ready_ && fault == fault_) {
+    // A restart on the same target: the base state depends on the fault
+    // alone, so undoing every decision restores it, frontier included.
+    undo_to(0);
+  } else {
+    start_target(fault);
+    // Forced values: reset high in frame 0, low afterwards.
+    if (reset_index_ >= 0) {
+      const GateId rst = nl_.inputs()[static_cast<std::size_t>(reset_index_)];
+      for (int frame = 0; frame < frames_; ++frame) {
+        const std::size_t n = node(frame, rst);
+        const std::uint8_t v = frame == 0 ? V1 : V0;
+        good_[n] = v;
+        faulty_[n] = v;
+      }
     }
+    imply_all();
+    trail_.clear();  // the base state is permanent
+    rebuild_frontier();
+    base_ready_ = true;
   }
-  imply_all();
-  trail_.clear();  // the base state is permanent
 
   struct Decision {
     std::size_t pi;
@@ -626,10 +734,9 @@ PodemResult TimeFramePodem::Impl::run(const Fault& fault, int backtrack_limit) {
                          ? (fault_.stuck_at_one ? V1 : V0)
                          : v);
     propagate_from(pi);
+    ++counters.decisions;
   };
 
-  const bool debug =
-      util::knobs::read_flag("HLTS_PODEM_DEBUG").value_or(false);
   while (true) {
     if (detected()) {
       result.status = PodemStatus::Detected;
@@ -640,24 +747,22 @@ PodemResult TimeFramePodem::Impl::run(const Fault& fault, int backtrack_limit) {
     // The search is alive while either an existing D can still reach an
     // output (live frontier) or the fault can still be excited in a frame
     // whose site value is open.  A dead D in one frame must not end the
-    // search: excitation in another frame may propagate.
-    const auto frontier = d_frontier();
-    const bool frontier_alive = !frontier.empty() && x_path_exists(frontier);
+    // search: excitation in another frame may propagate.  One sorted
+    // snapshot of the frontier serves both the liveness check and the
+    // objectives, in the order of the reference cone scan.
+    snapshot_frontier();
+    const bool frontier_alive =
+        !frontier_snapshot_.empty() && x_path_exists(frontier_snapshot_);
     const bool excitable = excitable_frame() >= 0;
     bool dead = !frontier_alive && !excitable;
-    if (debug) {
-      std::fprintf(stderr,
-                   "[podem] frontier=%zu alive=%d excitable=%d stack=%zu bt=%d\n",
-                   frontier.size(), frontier_alive ? 1 : 0, excitable ? 1 : 0,
-                   stack.size(), result.backtracks);
-    }
 
     Objective target;
     if (!dead) {
       // Try every candidate objective until one backtraces to an
       // assignable primary input.
       target.valid = false;
-      for (const Objective& cand : objectives()) {
+      objectives(frontier_snapshot_);
+      for (const Objective& cand : objectives_) {
         Objective traced = backtrace(cand);
         if (traced.valid) {
           target = traced;
@@ -708,15 +813,12 @@ PodemResult TimeFramePodem::Impl::run(const Fault& fault, int backtrack_limit) {
   }
 }
 
-TimeFramePodem::TimeFramePodem(const gates::Netlist& nl, int frames)
-    : nl_(nl), frames_(frames) {
+TimeFramePodem::TimeFramePodem(const gates::Netlist& nl, int frames) {
   HLTS_REQUIRE(frames >= 1, "PODEM needs at least one frame");
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-    if (nl.gate(nl.inputs()[i]).name == "reset") {
-      reset_index_ = static_cast<int>(i);
-    }
-  }
+  impl_ = std::make_unique<Impl>(nl, frames, reset_input_index(nl));
 }
+
+TimeFramePodem::~TimeFramePodem() = default;
 
 PodemResult TimeFramePodem::generate(const Fault& fault, int backtrack_limit) {
   // Restarts with different backtrace randomization; the per-call budget is
@@ -730,8 +832,8 @@ PodemResult TimeFramePodem::generate(const Fault& fault, int backtrack_limit) {
         (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(attempt + 1)) ^
         (static_cast<std::uint64_t>(fault.gate.value()) * 2 +
          (fault.stuck_at_one ? 1 : 0));
-    Impl impl(nl_, frames_, reset_index_, seed);
-    last = impl.run(fault, per_attempt);
+    impl_->reseed(seed);
+    last = impl_->run(fault, per_attempt);
     total_backtracks += last.backtracks;
     if (last.status == PodemStatus::Detected ||
         last.status == PodemStatus::Untestable) {
@@ -744,8 +846,15 @@ PodemResult TimeFramePodem::generate(const Fault& fault, int backtrack_limit) {
 
 bool TimeFramePodem::check_sequence(const Fault& fault,
                                     const TestSequence& sequence) {
-  Impl impl(nl_, frames_, reset_index_, /*seed=*/1);
-  return impl.run_sequence_check(fault, sequence);
+  return impl_->run_sequence_check(fault, sequence);
+}
+
+const PodemCounters& TimeFramePodem::counters() const {
+  return impl_->counters;
+}
+
+void TimeFramePodem::set_frontier_audit(FrontierAudit* audit) {
+  impl_->audit = audit;
 }
 
 }  // namespace hlts::atpg

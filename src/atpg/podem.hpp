@@ -12,9 +12,16 @@
 // through the D-frontier), backtrace through X-valued nets to an
 // assignable primary input, imply, and branch with a bounded backtrack
 // budget.
+//
+// The D-frontier is maintained event-driven: every value write and every
+// undo rechecks the written node and, when its D status flipped, its
+// fanouts, so a decision reads a maintained list instead of rescanning the
+// fault cone.  The cone scan survives as the declared oracle; the
+// set_frontier_audit() hook compares the two at every decision.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "atpg/faults.hpp"
@@ -36,10 +43,26 @@ struct PodemResult {
   int backtracks = 0;
 };
 
+/// Deterministic work counters, cumulative over one TimeFramePodem.
+struct PodemCounters {
+  /// Primary-input assignments of the search, flipped ones included.
+  std::uint64_t decisions = 0;
+  /// D-frontier membership rechecks done by the event-driven maintenance
+  /// (including the once-per-target rebuild over the cone).
+  std::uint64_t frontier_updates = 0;
+};
+
+/// Filled by the set_frontier_audit() hook.
+struct FrontierAudit {
+  std::uint64_t checks = 0;      ///< decisions at which the two were compared
+  std::uint64_t mismatches = 0;  ///< decisions at which they differed
+};
+
 class TimeFramePodem {
  public:
   /// Builds the unrolled model.  `frames` >= 1.
   TimeFramePodem(const gates::Netlist& nl, int frames);
+  ~TimeFramePodem();
 
   /// Attempts to generate a test for `fault`.
   [[nodiscard]] PodemResult generate(const Fault& fault, int backtrack_limit);
@@ -51,13 +74,17 @@ class TimeFramePodem {
   [[nodiscard]] bool check_sequence(const Fault& fault,
                                     const TestSequence& sequence);
 
+  [[nodiscard]] const PodemCounters& counters() const;
+
+  /// Test hook: while `audit` is non-null, every decision of generate()
+  /// compares the maintained D-frontier with the cone-scan reference and
+  /// records the outcome in `*audit`.
+  void set_frontier_audit(FrontierAudit* audit);
+
  private:
-  struct Node;  // defined in the .cpp
   class Impl;
 
-  const gates::Netlist& nl_;
-  int frames_;
-  int reset_index_ = -1;  ///< position of the "reset" input, -1 if absent
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace hlts::atpg

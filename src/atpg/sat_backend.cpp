@@ -9,13 +9,6 @@ namespace hlts::atpg {
 
 namespace {
 
-int find_reset_index(const gates::Netlist& nl) {
-  for (std::size_t i = 0; i < nl.inputs().size(); ++i) {
-    if (nl.gate(nl.inputs()[i]).name == "reset") return static_cast<int>(i);
-  }
-  return -1;
-}
-
 /// fault_name with the path-hostile characters ('/', '#') replaced, for
 /// use as a DIMACS dump file name.
 std::string dump_file_name(const gates::Netlist& nl, const Fault& f) {
@@ -31,11 +24,11 @@ std::string dump_file_name(const gates::Netlist& nl, const Fault& f) {
 SatBackend::SatBackend(const gates::Netlist& nl, const BackendConfig& config)
     : nl_(nl),
       cnf_(std::make_unique<gates::TimeFrameCnf>(nl, config.frames,
-                                                 find_reset_index(nl))),
+                                                 reset_input_index(nl))),
       conflict_budget_(config.conflict_budget),
       dump_dir_(config.dump_cnf_dir),
       frames_(config.frames),
-      reset_index_(find_reset_index(nl)) {
+      reset_index_(reset_input_index(nl)) {
   base_clauses_ = cnf_->solver().num_clauses();
   stats_.cnf_vars = cnf_->solver().num_vars();
   stats_.cnf_clauses = cnf_->solver().num_clauses();

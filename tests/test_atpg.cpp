@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "atpg/atpg.hpp"
+#include "atpg/backend.hpp"
 #include "atpg/fault_sim.hpp"
 #include "atpg/podem.hpp"
 #include "benchmarks/benchmarks.hpp"
@@ -10,6 +11,7 @@
 #include "gates/wordlib.hpp"
 #include "rtl/elaborate.hpp"
 #include "util/rng.hpp"
+#include "util/trace.hpp"
 
 namespace hlts {
 namespace {
@@ -227,6 +229,181 @@ TEST(Atpg, DeterministicAcrossRuns) {
   atpg::AtpgResult r2 = atpg::run_atpg(elab.netlist, design.steps() + 1, options);
   EXPECT_EQ(r1.detected(), r2.detected());
   EXPECT_EQ(r1.test_cycles, r2.test_cycles);
+}
+
+// ---- the paper's designs: ex/dct/diffeq/paulin x CAMAD/Ours at 8 bits ------
+
+struct PaperDesign {
+  const char* benchmark;
+  core::FlowKind flow;
+};
+
+constexpr PaperDesign kPaperDesigns[] = {
+    {"ex", core::FlowKind::Camad},     {"ex", core::FlowKind::Ours},
+    {"dct", core::FlowKind::Camad},    {"dct", core::FlowKind::Ours},
+    {"diffeq", core::FlowKind::Camad}, {"diffeq", core::FlowKind::Ours},
+    {"paulin", core::FlowKind::Camad}, {"paulin", core::FlowKind::Ours},
+};
+
+struct Elaborated {
+  rtl::Elaboration elab;
+  int period = 0;
+};
+
+Elaborated elaborate_paper_design(const PaperDesign& d) {
+  const dfg::Dfg g = benchmarks::make_benchmark(d.benchmark);
+  const core::FlowResult flow = core::run_flow(d.flow, g, {.bits = 8});
+  const rtl::RtlDesign design =
+      rtl::RtlDesign::from_synthesis(g, flow.schedule, flow.binding, 8);
+  return {rtl::elaborate(design), design.steps() + 1};
+}
+
+std::string design_label(const PaperDesign& d) {
+  return std::string(d.benchmark) + "/" + core::flow_name(d.flow);
+}
+
+void PrintTo(const PaperDesign& d, std::ostream* os) { *os << design_label(d); }
+
+/// FNV-1a 64 over a test set: one byte per input bit, a separator byte
+/// after each vector and another after each sequence.
+std::uint64_t test_set_hash(const std::vector<atpg::TestSequence>& set) {
+  std::uint64_t h = 1469598103934665603ULL;
+  auto byte = [&h](unsigned char b) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  };
+  for (const atpg::TestSequence& seq : set) {
+    for (const atpg::TestVector& v : seq) {
+      for (bool bit : v) byte(bit ? 1 : 0);
+      byte(2);
+    }
+    byte(3);
+  }
+  return h;
+}
+
+class PodemFrontier : public ::testing::TestWithParam<PaperDesign> {};
+
+TEST_P(PodemFrontier, MaintainedFrontierEqualsConeScan) {
+  // Differential test of the event-driven D-frontier against its declared
+  // oracle, the full cone scan: at every decision of every collapsed fault
+  // the two must be the same list.  The budget is small so aborted
+  // searches backtrack (and undo) often.
+  const Elaborated e = elaborate_paper_design(GetParam());
+  const Netlist& nl = e.elab.netlist;
+  atpg::TimeFramePodem podem(nl, 2 * e.period);
+  atpg::FrontierAudit audit;
+  podem.set_frontier_audit(&audit);
+  const atpg::FaultUniverse universe = atpg::FaultUniverse::collapsed(nl);
+  for (const atpg::Fault& f : universe.faults()) {
+    (void)podem.generate(f, 6);
+  }
+  EXPECT_GT(audit.checks, 10000u);
+  EXPECT_EQ(audit.mismatches, 0u);
+  EXPECT_GT(podem.counters().decisions, 10000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperDesigns, PodemFrontier, ::testing::ValuesIn(kPaperDesigns),
+    [](const ::testing::TestParamInfo<PaperDesign>& info) {
+      return std::string(info.param.benchmark) + "_" +
+             core::flow_name(info.param.flow);
+    });
+
+TEST(Atpg, GoldenTimeframeResultsOnPaperDesigns) {
+  // Pinned run_atpg (timeframe) outputs of the eight paper designs: any
+  // change to PODEM's search order, its RNG draws or the orchestration
+  // shows here as a changed count or test-set hash.
+  struct Golden {
+    std::size_t detected, aborted, untestable;
+    std::uint64_t hash;
+  };
+  constexpr Golden kGolden[] = {
+      {1863, 2, 1, 0x8e82911cde7e6202ULL},  // ex/CAMAD
+      {1699, 6, 1, 0xf9112ee1c145b482ULL},  // ex/Ours
+      {2525, 6, 1, 0x6abb33d1a41d7a85ULL},  // dct/CAMAD
+      {2596, 7, 1, 0x657cd437d02ab0adULL},  // dct/Ours
+      {2229, 16, 1, 0xf57153f3614cd663ULL},  // diffeq/CAMAD
+      {2026, 7, 1, 0x80c8bd9643beade8ULL},  // diffeq/Ours
+      {1778, 10, 6, 0x7d43d9582e888652ULL},  // paulin/CAMAD
+      {1542, 7, 1, 0xb5f58bae63d9ef63ULL},  // paulin/Ours
+  };
+  static_assert(std::size(kGolden) == std::size(kPaperDesigns));
+  for (std::size_t i = 0; i < std::size(kPaperDesigns); ++i) {
+    const Elaborated e = elaborate_paper_design(kPaperDesigns[i]);
+    atpg::AtpgOptions options;
+    options.backend = "timeframe";
+    const atpg::AtpgResult r = atpg::run_atpg(e.elab.netlist, e.period, options);
+    const std::string label = design_label(kPaperDesigns[i]);
+    EXPECT_EQ(r.detected(), kGolden[i].detected) << label;
+    EXPECT_EQ(r.aborted, kGolden[i].aborted) << label;
+    EXPECT_EQ(r.untestable_faults.size(), kGolden[i].untestable) << label;
+    EXPECT_EQ(test_set_hash(r.test_set), kGolden[i].hash) << label;
+  }
+}
+
+TEST(Atpg, PodemCountersRepeatExactly) {
+  // atpg.podem.* are deterministic work counters: two identical runs emit
+  // the same values, once per run_atpg.
+  const Elaborated e = elaborate_paper_design(kPaperDesigns[1]);
+  atpg::AtpgOptions options;
+  options.backend = "timeframe";
+  auto counters = [&] {
+    util::Trace trace;
+    util::Trace::Scope scope(&trace);
+    (void)atpg::run_atpg(e.elab.netlist, e.period, options);
+    return trace.snapshot().counters;
+  };
+  const auto first = counters();
+  const auto second = counters();
+  ASSERT_TRUE(first.count("atpg.podem.decisions"));
+  ASSERT_TRUE(first.count("atpg.podem.frontier_updates"));
+  EXPECT_GT(first.at("atpg.podem.decisions"), 0);
+  EXPECT_GT(first.at("atpg.podem.frontier_updates"), 0);
+  EXPECT_EQ(first.at("atpg.podem.decisions"),
+            second.at("atpg.podem.decisions"));
+  EXPECT_EQ(first.at("atpg.podem.frontier_updates"),
+            second.at("atpg.podem.frontier_updates"));
+}
+
+TEST(Atpg, EveryGeneratorForcesTheFirstResetInput) {
+  // Two inputs named "reset"; o = AND(NOT r2, a).  The first one, r1, is
+  // the reset every generator forces (1 in cycle 0).  Forcing r2 instead
+  // would hold NOT r2 at 0 in a one-cycle test, making AND/sa0
+  // untestable; with r1 forced, r2 = 0, a = 1 detects it.
+  Netlist nl;
+  nl.add_input("reset");  // r1, input 0
+  GateId r2 = nl.add_input("reset");
+  GateId a = nl.add_input("a");
+  GateId n2 = nl.add_gate(GateKind::Not, {r2});
+  GateId g = nl.add_gate(GateKind::And, {n2, a});
+  nl.add_output(g, "o");
+  ASSERT_EQ(atpg::reset_input_index(nl), 0);
+  const atpg::Fault target{g, false};
+
+  atpg::TimeFramePodem podem(nl, 1);
+  const atpg::PodemResult pr = podem.generate(target, 16);
+  ASSERT_EQ(pr.status, atpg::PodemStatus::Detected);
+  EXPECT_TRUE(pr.sequence[0][0]);
+
+  atpg::BackendConfig config;
+  config.frames = 1;
+  auto sat = atpg::make_backend(atpg::BackendKind::Sat, nl, config);
+  const atpg::BackendResult sr = sat->generate(target);
+  ASSERT_EQ(sr.status, atpg::BackendStatus::Detected);
+  EXPECT_TRUE(sr.sequence[0][0]);
+
+  // The random phase alone (no deterministic backend) on one-cycle
+  // sequences.
+  atpg::AtpgOptions options;
+  options.backend = "timeframe";
+  options.sequence_cycles = 1;
+  options.deterministic_phase = false;
+  options.compact = false;
+  const atpg::AtpgResult r = atpg::run_atpg(nl, 1, options);
+  EXPECT_EQ(std::count(r.undetected.begin(), r.undetected.end(), target), 0);
+  ASSERT_FALSE(r.test_set.empty());
+  for (const atpg::TestSequence& seq : r.test_set) EXPECT_TRUE(seq[0][0]);
 }
 
 }  // namespace

@@ -108,6 +108,10 @@ struct BenchSpec {
   std::map<OpKind, int> mix;
 };
 
+// Without this gtest prints the raw bytes of the spec, heap pointers
+// included, so the test names ctest discovers would change on every build.
+void PrintTo(const BenchSpec& s, std::ostream* os) { *os << s.name; }
+
 class BenchmarkShape : public ::testing::TestWithParam<BenchSpec> {};
 
 TEST_P(BenchmarkShape, HasPaperOperationMix) {
