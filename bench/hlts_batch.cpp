@@ -22,7 +22,7 @@
 //
 // --inject SPEC is the fault-injection soak: SPEC is the HLTS_FAILPOINTS
 // grammar (site:mode:probability:seed[:param], comma-separated; see
-// util/failpoint.hpp).  Faults are injected across the whole grid; the run
+// util/inject.hpp).  Faults are injected across the whole grid; the run
 // must not crash or hang, every job must reach a terminal state, and with
 // --verify-serial the jobs that still completed Full are checked
 // bit-identical to serial runs (jobs degraded to Partial checkpoints by an
@@ -55,7 +55,7 @@
 #include "core/flows.hpp"
 #include "engine/engine.hpp"
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
+#include "util/inject.hpp"
 #include "util/json.hpp"
 
 #include "bench_common.hpp"
@@ -202,7 +202,8 @@ int main(int argc, char** argv) {
 
   if (!inject.empty()) {
     std::string error;
-    if (!util::failpoint::configure(inject, &error)) {
+    if (!util::inject::configure(util::inject::Family::Failpoint, inject,
+                                  &error)) {
       std::cerr << "--inject: " << error << "\n";
       return 2;
     }
@@ -294,9 +295,9 @@ int main(int argc, char** argv) {
   // Snapshot the injection statistics, then disarm: the --verify-serial
   // reference runs below must be fault-free baselines, and an injected
   // exception thrown here in main() would otherwise escape uncaught.
-  const std::vector<util::failpoint::SiteStats> fp_stats =
-      util::failpoint::stats();
-  util::failpoint::clear();
+  const std::vector<util::inject::SiteStats> fp_stats =
+      util::inject::stats(util::inject::Family::Failpoint);
+  util::inject::clear(util::inject::Family::Failpoint);
   const double total_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                 t0)
@@ -458,7 +459,7 @@ int main(int argc, char** argv) {
   w.key("health").raw_value(util::json_dump(eng.health().to_api(0).to_json()));
   if (!inject.empty()) {
     w.key("failpoints").begin_array();
-    for (const util::failpoint::SiteStats& s : fp_stats) {
+    for (const util::inject::SiteStats& s : fp_stats) {
       w.begin_object();
       w.key("site").value(s.site);
       w.key("hits").value(s.hits);

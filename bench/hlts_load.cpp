@@ -74,8 +74,8 @@
 #include "serve/client.hpp"
 #include "util/error.hpp"
 #include "util/fs.hpp"
+#include "util/inject.hpp"
 #include "util/json.hpp"
-#include "util/net_chaos.hpp"
 #include "util/rng.hpp"
 #include "workload/generator.hpp"
 #include "workload/traffic.hpp"
@@ -289,14 +289,15 @@ CellOutcome run_cell(const CellSpec& cell, const std::string& serve_bin,
   util::fs::create_directories(journal_root);
 
   std::string chaos_error;
-  if (!util::net_chaos::configure(cell.net_faults, &chaos_error)) {
+  if (!util::inject::configure(util::inject::Family::Net, cell.net_faults,
+                                &chaos_error)) {
     std::cerr << "chaos-grid: bad net spec: " << chaos_error << "\n";
     return out;
   }
 
   auto proc = spawn_server(serve_bin, journal_root, shards, cell.io_faults);
   if (!proc) {
-    util::net_chaos::clear();
+    util::inject::clear(util::inject::Family::Net);
     return out;
   }
   const int port = proc->port;
@@ -379,7 +380,7 @@ CellOutcome run_cell(const CellSpec& cell, const std::string& serve_bin,
   if (chaos_thread.joinable()) chaos_thread.join();
   out.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  util::net_chaos::clear();
+  util::inject::clear(util::inject::Family::Net);
 
   // Orderly stop for cells the chaos did not already drain.
   if (!cell.drain) {

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
+#include "util/inject.hpp"
 #include "util/trace.hpp"
 
 namespace hlts::analysis {

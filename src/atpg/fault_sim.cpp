@@ -4,7 +4,7 @@
 #include <cstdlib>
 
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
+#include "util/inject.hpp"
 #include "util/knobs.hpp"
 
 namespace hlts::atpg {

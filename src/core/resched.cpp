@@ -7,7 +7,7 @@
 #include "sched/constraint_graph.hpp"
 #include "sched/lifetime.hpp"
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
+#include "util/inject.hpp"
 
 namespace hlts::core {
 

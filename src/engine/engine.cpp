@@ -7,7 +7,7 @@
 #include "core/checkpoint.hpp"
 #include "frontend/parser.hpp"
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
+#include "util/inject.hpp"
 #include "util/json.hpp"
 #include "util/knobs.hpp"
 #include "util/thread_pool.hpp"

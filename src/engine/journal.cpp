@@ -9,8 +9,8 @@
 #include "api/api.hpp"
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
 #include "util/fs.hpp"
+#include "util/inject.hpp"
 
 namespace hlts::engine {
 

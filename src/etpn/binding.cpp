@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
+#include "util/inject.hpp"
 #include "util/strings.hpp"
 
 namespace hlts::etpn {

@@ -5,7 +5,7 @@
 
 #include "frontend/lexer.hpp"
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
+#include "util/inject.hpp"
 #include "util/trace.hpp"
 
 namespace hlts::frontend {

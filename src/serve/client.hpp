@@ -8,13 +8,14 @@
 //
 // ClientOptions adds the robustness surface: connect/read/write timeouts
 // (a stalled peer becomes Error(Transient) instead of a forever-block) and
-// the chaos flag routing this connection through util/net_chaos.  On top
-// of Client sits RetryClient, the idempotent wrapper: it stamps every
-// request with a flow_token, and on a transport failure (timeout, reset,
-// torn frame, refused connect) reconnects with bounded exponential backoff
-// and resubmits the *same* token -- the supervisor deduplicates by token,
-// so the retried request is answered exactly once, with the original
-// bit-identical result even if the first attempt actually executed.
+// the chaos flag routing this connection through util/inject's net
+// family.  On top of Client sits RetryClient, the idempotent wrapper: it
+// stamps every request with a flow_token, and on a transport failure
+// (timeout, reset, torn frame, refused connect) reconnects with bounded
+// exponential backoff and resubmits the *same* token -- the supervisor
+// deduplicates by token, so the retried request is answered exactly once,
+// with the original bit-identical result even if the first attempt
+// actually executed.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,7 @@ struct ClientOptions {
   int retries = 0;          ///< extra attempts by RetryClient
   int backoff_ms = 50;      ///< first retry backoff; doubles per attempt
   int backoff_cap_ms = 2000;
-  bool chaos = false;       ///< route through util/net_chaos injections
+  bool chaos = false;       ///< route through util/inject's net family
   /// Treat an explicit "rejected" result as retryable too (chaos-grid
   /// mode: a journal refusal under injected disk faults is transient).
   bool retry_rejected = false;

@@ -13,8 +13,7 @@
 #include <system_error>
 
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
-#include "util/io_faults.hpp"
+#include "util/inject.hpp"
 
 namespace hlts::util::fs {
 
@@ -30,9 +29,15 @@ std::string sys_detail(int err) {
   return detail;
 }
 
+/// The io-family fault to inject into operation `op` right now, if any.
+std::optional<inject::Injected> io_fault(inject::io::Site op) {
+  if (!inject::armed(inject::Family::Io)) return std::nullopt;
+  return inject::consult(inject::Family::Io, op);
+}
+
 [[noreturn]] void injected_fail(const char* what, const std::string& path,
-                                io_faults::Mode mode) {
-  const int err = mode == io_faults::Mode::Enospc ? ENOSPC : EIO;
+                                inject::Mode mode) {
+  const int err = mode == inject::Mode::Enospc ? ENOSPC : EIO;
   throw Error(std::string(what) + " '" + path +
                   "': injected fault: " + sys_detail(err),
               ErrorKind::Transient);
@@ -55,14 +60,12 @@ void write_span(int fd, const char* data, std::size_t len,
   if (len == 0) return;
   std::size_t limit = len;
   bool injected_short = false;
-  if (io_faults::armed()) {
-    if (const auto fault = io_faults::consult(io_faults::Op::Write)) {
-      if (fault->mode == io_faults::Mode::Short) {
-        limit = len / 2;
-        injected_short = true;
-      } else {
-        injected_fail("write", path, fault->mode);
-      }
+  if (const auto fault = io_fault(inject::io::kWrite)) {
+    if (fault->mode == inject::Mode::Short) {
+      limit = len / 2;
+      injected_short = true;
+    } else {
+      injected_fail("write", path, fault->mode);
     }
   }
   std::size_t off = 0;
@@ -85,10 +88,8 @@ void write_span(int fd, const char* data, std::size_t len,
 }
 
 void fsync_fd(int fd, const std::string& path) {
-  if (io_faults::armed()) {
-    if (const auto fault = io_faults::consult(io_faults::Op::Fsync)) {
-      injected_fail("fsync", path, fault->mode);
-    }
+  if (const auto fault = io_fault(inject::io::kFsync)) {
+    injected_fail("fsync", path, fault->mode);
   }
   if (::fsync(fd) != 0) {
     throw Error("fsync '" + path + "': " + sys_detail(errno),
@@ -156,10 +157,8 @@ std::optional<std::string> read_file(const std::string& path) {
 
 void write_file_atomic(const std::string& path, const std::string& content) {
   const std::string tmp = path + kTempSuffix;
-  if (io_faults::armed()) {
-    if (const auto fault = io_faults::consult(io_faults::Op::Open)) {
-      injected_fail("open", tmp, fault->mode);
-    }
+  if (const auto fault = io_fault(inject::io::kOpen)) {
+    injected_fail("open", tmp, fault->mode);
   }
   FdGuard file{::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644)};
   if (file.fd < 0) {
@@ -183,10 +182,8 @@ void write_file_atomic(const std::string& path, const std::string& content) {
   }
   file.release();
   HLTS_FAILPOINT("journal.commit");
-  if (io_faults::armed()) {
-    if (const auto fault = io_faults::consult(io_faults::Op::Rename)) {
-      injected_fail("rename", tmp, fault->mode);
-    }
+  if (const auto fault = io_fault(inject::io::kRename)) {
+    injected_fail("rename", tmp, fault->mode);
   }
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
     throw Error("cannot rename '" + tmp + "' to '" + path +

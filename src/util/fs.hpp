@@ -15,7 +15,7 @@
 //                      and commit).
 //
 // Every durability syscall (open/write/fsync/rename) additionally consults
-// util/io_faults, the injectable disk-fault shim: HLTS_IO_FAULTS can make
+// the io family of util/inject, the disk-fault shim: HLTS_IO_FAULTS can make
 // any of them fail with ENOSPC/EIO or tear the write short, which is how
 // the chaos grid proves the journal protocol survives a misbehaving disk.
 //
@@ -51,7 +51,7 @@ void create_directories(const std::string& dir);
 /// the commit survives power loss.  Either the old content or the new
 /// content is visible, never a mixture.  Hits the `journal.write`
 /// failpoint mid-write and `journal.commit` before the rename, and
-/// consults util/io_faults at every syscall.
+/// consults the io family of util/inject at every syscall.
 void write_file_atomic(const std::string& path, const std::string& content);
 
 /// Deletes `path` if it exists; missing files are not an error.

@@ -23,16 +23,17 @@ const Knob kRegistry[] = {
      "fault-simulation packet width in lanes (64, 256 or 512); other values "
      "fall back to the default"},
     {"HLTS_FAILPOINTS", Kind::String, OnMalformed::Throw, "unset",
-     "util::failpoint (static init)",
-     "arms fault-injection sites, grammar site:mode:prob:seed[:param]; a "
-     "malformed spec aborts the process before main"},
+     "util::inject (static init)",
+     "arms the failpoint family of fault-injection sites, grammar "
+     "site:mode:prob:seed[:param]; a malformed spec aborts the process "
+     "before main"},
     {"HLTS_IO_FAULTS", Kind::String, OnMalformed::Throw, "unset",
-     "util::io_faults (static init)",
+     "util::inject (static init)",
      "injects disk faults into util/fs, grammar op:mode:prob:seed[:param] "
      "with ops open|write|fsync|rename and modes short|enospc|eio; a "
      "malformed spec aborts the process before main"},
     {"HLTS_NET_FAULTS", Kind::String, OnMalformed::Throw, "unset",
-     "util::net_chaos (static init)",
+     "util::inject (static init)",
      "injects network faults into chaos-enabled sockets, grammar "
      "op:mode:prob:seed[:param] with ops connect|read|write and modes "
      "reset|truncate|stall; a malformed spec aborts the process before main"},

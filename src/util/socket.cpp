@@ -16,7 +16,7 @@
 #include <thread>
 
 #include "util/error.hpp"
-#include "util/net_chaos.hpp"
+#include "util/inject.hpp"
 
 namespace hlts::util::net {
 
@@ -28,6 +28,13 @@ namespace {
 
 void chaos_sleep(std::int64_t ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+/// The net-family fault to inject into operation `op` of a connection that
+/// opted into chaos, if any.
+std::optional<inject::Injected> net_fault(bool chaos, inject::net::Site op) {
+  if (!chaos || !inject::armed(inject::Family::Net)) return std::nullopt;
+  return inject::consult(inject::Family::Net, op);
 }
 
 void set_nonblocking(int fd, bool on) {
@@ -84,15 +91,13 @@ void Listener::close_now() { fd_.close(); }
 void Listener::shutdown_now() { shutdown_fd(fd_.get()); }
 
 Fd connect_local(int port, int timeout_ms, bool chaos) {
-  if (chaos && net_chaos::armed()) {
-    if (const auto fault = net_chaos::consult(net_chaos::Op::Connect)) {
-      if (fault->mode == net_chaos::Mode::Stall) {
-        chaos_sleep(fault->param);
-      } else {
-        throw Error("connect 127.0.0.1:" + std::to_string(port) +
-                        ": injected connection reset",
-                    ErrorKind::Transient);
-      }
+  if (const auto fault = net_fault(chaos, inject::net::kConnect)) {
+    if (fault->mode == inject::Mode::Stall) {
+      chaos_sleep(fault->param);
+    } else {
+      throw Error("connect 127.0.0.1:" + std::to_string(port) +
+                      ": injected connection reset",
+                  ErrorKind::Transient);
     }
   }
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -209,20 +214,14 @@ void set_send_timeout_ms(int fd, int timeout_ms) {
 void write_all(int fd, const std::string& data, bool chaos) {
   std::size_t limit = data.size();
   bool injected_truncate = false;
-  if (chaos && net_chaos::armed()) {
-    if (const auto fault = net_chaos::consult(net_chaos::Op::Write)) {
-      switch (fault->mode) {
-        case net_chaos::Mode::Stall:
-          chaos_sleep(fault->param);
-          break;
-        case net_chaos::Mode::Reset:
-          throw Error("write: injected connection reset",
-                      ErrorKind::Transient);
-        case net_chaos::Mode::Truncate:
-          limit = std::min(limit, static_cast<std::size_t>(fault->param));
-          injected_truncate = true;
-          break;
-      }
+  if (const auto fault = net_fault(chaos, inject::net::kWrite)) {
+    if (fault->mode == inject::Mode::Stall) {
+      chaos_sleep(fault->param);
+    } else if (fault->mode == inject::Mode::Reset) {
+      throw Error("write: injected connection reset", ErrorKind::Transient);
+    } else {  // truncate
+      limit = std::min(limit, static_cast<std::size_t>(fault->param));
+      injected_truncate = true;
     }
   }
   std::size_t off = 0;
@@ -276,19 +275,14 @@ std::optional<std::string> LineReader::read_line() {
     // of the stream is gone, like a peer that died mid-send.
     if (chaos_eof_) return std::nullopt;
     std::size_t keep = 4096;
-    if (chaos_ && net_chaos::armed()) {
-      if (const auto fault = net_chaos::consult(net_chaos::Op::Read)) {
-        switch (fault->mode) {
-          case net_chaos::Mode::Stall:
-            chaos_sleep(fault->param);
-            break;
-          case net_chaos::Mode::Reset:
-            return std::nullopt;  // the peer "reset" us mid-stream
-          case net_chaos::Mode::Truncate:
-            keep = static_cast<std::size_t>(fault->param);
-            chaos_eof_ = true;
-            break;
-        }
+    if (const auto fault = net_fault(chaos_, inject::net::kRead)) {
+      if (fault->mode == inject::Mode::Stall) {
+        chaos_sleep(fault->param);
+      } else if (fault->mode == inject::Mode::Reset) {
+        return std::nullopt;  // the peer "reset" us mid-stream
+      } else {  // truncate
+        keep = static_cast<std::size_t>(fault->param);
+        chaos_eof_ = true;
       }
     }
     if (read_timeout_ms_ > 0) {

@@ -16,7 +16,7 @@
 //     set_send_timeout_ms -- a stalled peer becomes a Transient error
 //     instead of a forever-block;
 //   - chaos: connect_local/write_all take a `chaos` flag and LineReader
-//     has enable_chaos(); enabled paths consult util/net_chaos
+//     has enable_chaos(); enabled paths consult util/inject's net family
 //     (HLTS_NET_FAULTS) and can see injected resets, truncations and
 //     stalls.  Chaos is strictly per call site: the supervisor<->worker
 //     socketpairs in the same process never opt in, so arming the shim in
@@ -93,8 +93,8 @@ class Listener {
 /// Connect to 127.0.0.1:`port`; throws Error(Transient) on refusal.
 /// `timeout_ms` > 0 bounds the connect (non-blocking + poll; expiry throws
 /// Error(Transient) mentioning "timeout"); 0 blocks indefinitely.  With
-/// `chaos`, consults util/net_chaos: an injected connect reset throws, a
-/// stall sleeps first.
+/// `chaos`, consults util/inject's net family: an injected connect reset
+/// throws, a stall sleeps first.
 [[nodiscard]] Fd connect_local(int port, int timeout_ms = 0,
                                bool chaos = false);
 
@@ -141,9 +141,9 @@ class LineReader {
   /// still returned without touching the socket.
   void set_read_timeout_ms(int timeout_ms) { read_timeout_ms_ = timeout_ms; }
 
-  /// Routes reads through util/net_chaos (HLTS_NET_FAULTS): injected
-  /// resets end the stream, truncations deliver a partial frame and then
-  /// EOF, stalls sleep (slow-loris when probabilistic).
+  /// Routes reads through util/inject's net family (HLTS_NET_FAULTS):
+  /// injected resets end the stream, truncations deliver a partial frame
+  /// and then EOF, stalls sleep (slow-loris when probabilistic).
   void enable_chaos() { chaos_ = true; }
 
   /// Next line, or nullopt on orderly EOF / peer reset.  A line longer than

@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <limits>
 
-#include "util/failpoint.hpp"
+#include "util/inject.hpp"
 #include "util/knobs.hpp"
 
 namespace hlts::util {

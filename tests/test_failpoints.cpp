@@ -1,4 +1,4 @@
-// Fault-injection tests: the util/failpoint framework itself, the anytime
+// Fault-injection tests: the failpoint family of util/inject, the anytime
 // degradation contract of the synthesis loop (a Partial result at iteration
 // k is bit-identical to a run capped at k), the engine's Transient-retry and
 // watchdog paths, and the core/validate invariant auditor.
@@ -22,18 +22,19 @@
 #include "engine/engine.hpp"
 #include "sched/lifetime.hpp"
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
+#include "util/inject.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hlts {
 namespace {
 
-namespace fp = util::failpoint;
+namespace inj = util::inject;
+constexpr inj::Family kFp = inj::Family::Failpoint;
 
 /// Disarms failpoints on scope exit, so a failing assertion cannot leave
 /// the process armed for the rest of the test body.
 struct FailpointGuard {
-  ~FailpointGuard() { fp::clear(); }
+  ~FailpointGuard() { inj::clear(kFp); }
 };
 
 core::SynthesisParams serial_params() {
@@ -58,68 +59,29 @@ void expect_identical(const core::SynthesisResult& expected,
 }
 
 TEST(Failpoints, DisabledByDefaultAndZeroStats) {
-  fp::clear();
-  EXPECT_FALSE(fp::armed());
-  EXPECT_TRUE(fp::active().empty());
-  EXPECT_TRUE(fp::stats().empty());
-}
-
-TEST(Failpoints, ConfigureParsesAndRejects) {
-  FailpointGuard guard;
-  std::string error;
-
-  ASSERT_TRUE(fp::configure(
-      "sched.reschedule:error:0.25:42,engine.worker:delay:1:0:20", &error))
-      << error;
-  EXPECT_TRUE(fp::armed());
-  std::vector<fp::Spec> specs = fp::active();
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_EQ(specs[0].site, "sched.reschedule");
-  EXPECT_EQ(specs[0].mode, fp::Mode::Error);
-  EXPECT_DOUBLE_EQ(specs[0].probability, 0.25);
-  EXPECT_EQ(specs[0].seed, 42u);
-  EXPECT_EQ(specs[1].mode, fp::Mode::Delay);
-  EXPECT_EQ(specs[1].param, 20);
-
-  // Unknown site, unknown mode, and out-of-range probability all fail fast
-  // and leave the previous configuration in place.
-  EXPECT_FALSE(fp::configure("no.such.site:error:1:0", &error));
-  EXPECT_NE(error.find("no.such.site"), std::string::npos);
-  EXPECT_FALSE(fp::configure("sched.reschedule:explode:1:0", &error));
-  EXPECT_FALSE(fp::configure("sched.reschedule:error:1.5:0", &error));
-  EXPECT_EQ(fp::active().size(), 2u);
-
-  fp::clear();
-  EXPECT_FALSE(fp::armed());
-}
-
-TEST(Failpoints, KnownSitesCoverThePipeline) {
-  const std::vector<std::string>& sites = fp::known_sites();
-  for (const char* expected :
-       {"frontend.parse", "sched.reschedule", "alloc.merge", "atpg.fault_sim",
-        "engine.worker", "pool.task"}) {
-    EXPECT_NE(std::find(sites.begin(), sites.end(), expected), sites.end())
-        << expected;
-  }
+  inj::clear(kFp);
+  EXPECT_FALSE(inj::armed(kFp));
+  EXPECT_TRUE(inj::active(kFp).empty());
+  EXPECT_TRUE(inj::stats(kFp).empty());
 }
 
 TEST(Failpoints, TriggerStreamIsDeterministic) {
   FailpointGuard guard;
   dfg::Dfg g = benchmarks::make_benchmark("ex");
 
-  auto run_once = [&]() -> std::vector<fp::SiteStats> {
+  auto run_once = [&]() -> std::vector<inj::SiteStats> {
     // Probability low enough that the run usually survives a few
     // iterations; the assertion is about determinism, not the outcome.
-    EXPECT_TRUE(fp::configure("sched.reschedule:error:0.05:7"));
+    EXPECT_TRUE(inj::configure(kFp, "sched.reschedule:error:0.05:7"));
     core::SynthesisResult r = integrated_synthesis(g, serial_params());
     (void)r;
-    std::vector<fp::SiteStats> s = fp::stats();
-    fp::clear();
+    std::vector<inj::SiteStats> s = inj::stats(kFp);
+    inj::clear(kFp);
     return s;
   };
 
-  std::vector<fp::SiteStats> first = run_once();
-  std::vector<fp::SiteStats> second = run_once();
+  std::vector<inj::SiteStats> first = run_once();
+  std::vector<inj::SiteStats> second = run_once();
   ASSERT_EQ(first.size(), 1u);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_EQ(first[0].hits, second[0].hits);
@@ -153,11 +115,11 @@ TEST(Failpoints, DegradedPartialMatchesCappedRun) {
     std::atomic<int> seen{0};
     faulted.on_iteration = [&](const core::IterationRecord&) {
       if (seen.fetch_add(1, std::memory_order_relaxed) + 1 == cut) {
-        ASSERT_TRUE(fp::configure("sched.reschedule:error:1:0:1"));
+        ASSERT_TRUE(inj::configure(kFp, "sched.reschedule:error:1:0:1"));
       }
     };
     core::SynthesisResult degraded = integrated_synthesis(g, faulted);
-    fp::clear();
+    inj::clear(kFp);
 
     EXPECT_EQ(degraded.completeness, core::Completeness::Partial);
     EXPECT_EQ(degraded.stop_reason.rfind("degraded: ", 0), 0u)
@@ -170,7 +132,7 @@ TEST(Failpoints, DegradedPartialMatchesCappedRun) {
 TEST(Failpoints, BadAllocDegradesToPartial) {
   FailpointGuard guard;
   dfg::Dfg g = benchmarks::make_benchmark("ex");
-  ASSERT_TRUE(fp::configure("alloc.merge:badalloc:1:0:1"));
+  ASSERT_TRUE(inj::configure(kFp, "alloc.merge:badalloc:1:0:1"));
   core::SynthesisResult r = integrated_synthesis(g, serial_params());
   // The very first trial merge throws bad_alloc, so the loop degrades at
   // iteration 0 with the (valid) initial schedule/allocation.
@@ -192,7 +154,7 @@ TEST(Failpoints, InternalErrorsAreNotAbsorbed) {
 TEST(Failpoints, PoolTaskFaultPropagatesAndPoolSurvives) {
   FailpointGuard guard;
   util::ThreadPool pool(3);
-  ASSERT_TRUE(fp::configure("pool.task:error:1:0:0"));
+  ASSERT_TRUE(inj::configure(kFp, "pool.task:error:1:0:0"));
   try {
     pool.parallel_for(16, [](std::size_t) {});
     FAIL() << "expected an injected failure";
@@ -200,7 +162,7 @@ TEST(Failpoints, PoolTaskFaultPropagatesAndPoolSurvives) {
     EXPECT_EQ(e.kind(), ErrorKind::Transient);
     EXPECT_NE(std::string(e.what()).find("pool.task"), std::string::npos);
   }
-  fp::clear();
+  inj::clear(kFp);
   // The pool drains and stays usable after a task-level fault.
   std::atomic<int> ran{0};
   pool.parallel_for(16, [&](std::size_t) {
@@ -218,7 +180,7 @@ TEST(Failpoints, EngineRetriesTransientAndRecovers) {
 
   // The worker site fails exactly twice; with max_retries = 2 the third
   // attempt runs clean and the job must succeed with the exact result.
-  ASSERT_TRUE(fp::configure("engine.worker:error:1:0:2"));
+  ASSERT_TRUE(inj::configure(kFp, "engine.worker:error:1:0:2"));
   engine::Engine eng({.max_concurrent_jobs = 1,
                       .threads_per_job = 1,
                       .max_retries = 2,
@@ -228,7 +190,7 @@ TEST(Failpoints, EngineRetriesTransientAndRecovers) {
                                    .dfg = g,
                                    .params = params});
   job->wait();
-  fp::clear();
+  inj::clear(kFp);
 
   EXPECT_EQ(job->state(), engine::JobState::Succeeded) << job->error();
   EXPECT_EQ(job->attempts(), 3);
@@ -240,11 +202,52 @@ TEST(Failpoints, EngineRetriesTransientAndRecovers) {
   EXPECT_EQ(metrics.counters.at("jobs.retries"), 2);
 }
 
+TEST(Failpoints, AnalysisCommitFaultIsRetriedBitIdentically) {
+  FailpointGuard guard;
+  dfg::Dfg g = benchmarks::make_benchmark("ex");
+  core::FlowParams params;
+  params.num_threads = 1;
+  core::FlowResult expected = core::run_flow(core::FlowKind::Ours, g, params);
+
+  // The first incremental commit throws Transient: the attempt degrades to
+  // its iteration-0 checkpoint, the engine retries, and the clean second
+  // attempt must reproduce the unarmed run exactly.
+  ASSERT_TRUE(inj::configure(kFp, "analysis.commit:error:1:0:1"));
+  engine::Engine eng({.max_concurrent_jobs = 1,
+                      .threads_per_job = 1,
+                      .max_retries = 2,
+                      .retry_backoff = std::chrono::milliseconds(1)});
+  engine::JobPtr job = eng.submit(engine::FlowRequest{.name = "commit",
+                                   .kind = core::FlowKind::Ours,
+                                   .dfg = g,
+                                   .params = params});
+  job->wait();
+  const std::vector<inj::SiteStats> fired = inj::stats(kFp);
+  inj::clear(kFp);
+
+  ASSERT_EQ(fired.size(), 1u);
+  EXPECT_EQ(fired[0].site, "analysis.commit");
+  EXPECT_EQ(fired[0].triggers, 1);
+  EXPECT_EQ(job->state(), engine::JobState::Succeeded) << job->error();
+  EXPECT_EQ(job->attempts(), 2);
+  EXPECT_EQ(eng.metrics().counters.at("jobs.retries"), 1);
+  ASSERT_TRUE(job->result().has_value());
+  const core::FlowResult& got = *job->result();
+  EXPECT_EQ(got.completeness, core::Completeness::Full);
+  EXPECT_EQ(got.iterations, expected.iterations);
+  EXPECT_EQ(got.exec_time, expected.exec_time);
+  EXPECT_TRUE(expected.schedule == got.schedule);
+  EXPECT_EQ(expected.module_allocation, got.module_allocation);
+  EXPECT_EQ(expected.register_allocation, got.register_allocation);
+  EXPECT_TRUE(bits_equal(expected.cost.total(), got.cost.total()));
+  EXPECT_TRUE(bits_equal(expected.balance_index, got.balance_index));
+}
+
 TEST(Failpoints, RetryBudgetExhaustionFailsOnlyTheInjectedJob) {
   FailpointGuard guard;
   // Only the source-compiled job passes through frontend.parse; the
   // pre-built-DFG sibling never touches the site.
-  ASSERT_TRUE(fp::configure("frontend.parse:error:1:0:0"));
+  ASSERT_TRUE(inj::configure(kFp, "frontend.parse:error:1:0:0"));
   engine::Engine eng({.max_concurrent_jobs = 2,
                       .threads_per_job = 1,
                       .max_retries = 1,
@@ -261,7 +264,7 @@ TEST(Failpoints, RetryBudgetExhaustionFailsOnlyTheInjectedJob) {
   std::vector<engine::JobPtr> jobs =
       eng.submit_batch({std::move(doomed), std::move(healthy)});
   eng.wait_all();
-  fp::clear();
+  inj::clear(kFp);
 
   EXPECT_EQ(jobs[0]->state(), engine::JobState::Failed);
   EXPECT_EQ(jobs[0]->attempts(), 2);  // 1 + max_retries
@@ -292,7 +295,7 @@ TEST(Failpoints, WatchdogFlagsAStalledJob) {
   // Every reschedule sleeps 80 ms while the stall deadline is 20 ms: the
   // first iteration's trial evaluations outlast the deadline and the
   // watchdog must flag the job, without changing its result.
-  ASSERT_TRUE(fp::configure("sched.reschedule:delay:1:0:80"));
+  ASSERT_TRUE(inj::configure(kFp, "sched.reschedule:delay:1:0:80"));
   engine::Engine eng({.max_concurrent_jobs = 1,
                       .threads_per_job = 1,
                       .stall_deadline = std::chrono::milliseconds(20)});
@@ -305,7 +308,7 @@ TEST(Failpoints, WatchdogFlagsAStalledJob) {
                                    .dfg = g,
                                    .params = params});
   job->wait();
-  fp::clear();
+  inj::clear(kFp);
 
   EXPECT_TRUE(job->stalled());
   EXPECT_EQ(job->state(), engine::JobState::Succeeded) << job->error();

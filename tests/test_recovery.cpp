@@ -38,14 +38,14 @@
 #include "engine/engine.hpp"
 #include "engine/journal.hpp"
 #include "util/error.hpp"
-#include "util/failpoint.hpp"
 #include "util/fs.hpp"
+#include "util/inject.hpp"
 #include "util/json.hpp"
 
 namespace hlts {
 namespace {
 
-namespace fp = util::failpoint;
+namespace inj = util::inject;
 
 // --- helpers ----------------------------------------------------------------
 
@@ -584,7 +584,7 @@ void kill_and_recover(const std::string& spec, const std::string& bench,
     // fired (expected), 3 = bad spec, 42 = the job finished before the
     // kill fired (the test would be vacuous).
     std::string error;
-    if (!fp::configure(spec, &error)) _exit(3);
+    if (!inj::configure(inj::Family::Failpoint, spec, &error)) _exit(3);
     {
       engine::Engine eng({.max_concurrent_jobs = 1,
                           .journal_dir = dir.path,
@@ -1114,20 +1114,21 @@ TEST(Health, SnapshotExportsAsJson) {
 
 TEST(JournalLag, CheckpointWriteFailuresDegradeDurabilityNotResults) {
   struct FailpointGuard {
-    ~FailpointGuard() { fp::clear(); }
+    ~FailpointGuard() { inj::clear(inj::Family::Failpoint); }
   } guard;
   const TempDir dir;
   // Every checkpoint persistence fails with a Transient error; the flow
   // must still complete with the exact uninterrupted result, and the
   // failures must be visible as journal lag.
-  ASSERT_TRUE(fp::configure("journal.checkpoint:error:1:0:0"));
+  ASSERT_TRUE(inj::configure(inj::Family::Failpoint,
+                             "journal.checkpoint:error:1:0:0"));
   engine::Engine eng({.max_concurrent_jobs = 1,
                       .max_retries = 0,
                       .journal_dir = dir.path,
                       .checkpoint_every = 1});
   const engine::JobPtr job = eng.submit(ours_request("ex", 1));
   eng.wait_all();
-  fp::clear();
+  inj::clear(inj::Family::Failpoint);
   ASSERT_EQ(job->state(), engine::JobState::Succeeded);
   EXPECT_GT(eng.health().journal_lag, 0u);
   expect_identical(core::run_flow(core::FlowKind::Ours,
